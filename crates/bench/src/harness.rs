@@ -18,13 +18,23 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// The workspace root (the bench crate lives two levels below it).
+/// The workspace root, resolved when the program runs: the nearest
+/// ancestor of the running executable (it lives under the workspace's
+/// `target/`), else of the working directory, that holds this bench
+/// crate. A copied or moved checkout therefore writes inside itself, never
+/// into the tree it was first built in.
+///
+/// # Panics
+/// Panics if neither path lies inside a checkout.
 pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate lives two levels below the workspace root")
-        .to_path_buf()
+    let exe = std::env::current_exe().ok();
+    let cwd = std::env::current_dir().ok();
+    exe.iter()
+        .chain(cwd.iter())
+        .flat_map(|p| p.ancestors())
+        .find(|dir| dir.join("crates/bench/Cargo.toml").is_file())
+        .map(Path::to_path_buf)
+        .expect("run from inside a checkout: no ancestor holds crates/bench")
 }
 
 /// The workspace `target/` directory the CI artifacts upload from. Bench

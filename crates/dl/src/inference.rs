@@ -8,11 +8,12 @@
 //!
 //! Two entry points matter to the serving plane:
 //!
-//! * [`ServableModel::forward_batch`] — **one packed SIMD GEMM per layer
-//!   per micro-batch**. This is the serving hot path: batching B requests
-//!   turns B matvecs (each of which re-packs the weight panels) into one
-//!   matrix product that amortizes the packing and keeps the microkernel's
-//!   register tiles full.
+//! * [`ServableModel::forward_batch`] — **one SIMD GEMM per layer per
+//!   micro-batch** against weights packed once, when the replica is built
+//!   (a [`PackedMatrix`] per layer). This is the serving hot path: no
+//!   request re-packs a weight, and batching B requests turns B matvecs into
+//!   one matrix product whose register tiles reuse each panel row across
+//!   the batch.
 //! * [`ServableModel::forward_one`] — the sequential per-request path the
 //!   batched path is measured against. Both run the same kernels, and the
 //!   per-row accumulation chains of the packed GEMM depend only on the
@@ -20,16 +21,16 @@
 //!   to the single-request forward of row `i` (pinned by
 //!   `summit-serve`'s identity tests for both [`Precision`] modes).
 //!
-//! The training and serving forwards share one routine
-//! ([`dense_forward_into`]), so a served logit is bitwise the logit the
-//! trainer would have computed.
+//! The trainer's weights change every step, so its forward
+//! ([`dense_forward_into`]) packs them per call. The prepacked product runs
+//! the same driver on the same panel layout, so a served logit is bitwise
+//! the logit the trainer would have computed.
 
 use crate::model::MlpSpec;
-use summit_tensor::{ops, Matrix, Precision};
+use summit_tensor::{ops, Matrix, PackedMatrix, Precision};
 
-/// Shared dense-layer forward: `out = x·W + b`. Both the trainer's
-/// [`Linear`](crate::model) layers and [`ServableModel`] call this, so
-/// training-time and serving-time activations are bitwise identical.
+/// The trainer's dense-layer forward: `out = x·W + b`, packing `W` for this
+/// call. [`ServableModel`] computes the same bits from prepacked weights.
 pub(crate) fn dense_forward_into(
     x: &Matrix,
     w: &Matrix,
@@ -41,22 +42,24 @@ pub(crate) fn dense_forward_into(
     ops::add_bias(out, b);
 }
 
-/// One forward-only dense layer: weights, bias, no gradient state.
+/// One forward-only dense layer: packed weights, bias, no gradient state.
+/// The f32 panels are the only copy of the weights, read back by
+/// [`ServableModel::flat_params`]; at `Mixed` they sit beside the bf16
+/// panels the forward multiplies by.
 #[derive(Debug, Clone)]
 struct ServableLayer {
-    w: Matrix,
+    w: PackedMatrix,
     b: Vec<f32>,
 }
 
 /// An immutable, forward-only MLP replica.
 ///
-/// Construction is by value copy from a trained model (or a flat parameter
-/// vector fresh off a `binomial_broadcast_into`), after which the model is
-/// `Send + Sync` and every forward is `&self`.
+/// Construction packs each layer's weights once (from a trained model or a
+/// flat parameter vector fresh off a `binomial_broadcast_into`), after
+/// which the model is `Send + Sync` and every forward is `&self`.
 #[derive(Debug, Clone)]
 pub struct ServableModel {
     layers: Vec<ServableLayer>,
-    precision: Precision,
 }
 
 impl ServableModel {
@@ -78,40 +81,55 @@ impl ServableModel {
         let mut off = 0usize;
         for d in dims.windows(2) {
             let (rows, cols) = (d[0], d[1]);
-            let w = Matrix::from_vec(rows, cols, flat[off..off + rows * cols].to_vec());
+            let w = &flat[off..off + rows * cols];
             off += rows * cols;
             let b = flat[off..off + cols].to_vec();
             off += cols;
-            layers.push(ServableLayer { w, b });
+            layers.push(ServableLayer {
+                w: PackedMatrix::from_row_major(rows, cols, w),
+                b,
+            });
         }
-        ServableModel {
-            layers,
-            precision: Precision::F32,
-        }
+        ServableModel { layers }
     }
 
     /// Internal constructor for [`Mlp::servable`](crate::model::Mlp) —
-    /// takes already-materialized `(weights, bias)` pairs.
-    pub(crate) fn from_layers(layers: Vec<(Matrix, Vec<f32>)>, precision: Precision) -> Self {
+    /// packs each `(weights, bias)` pair.
+    pub(crate) fn from_layers<'a>(
+        layers: impl IntoIterator<Item = (&'a Matrix, &'a [f32])>,
+        precision: Precision,
+    ) -> Self {
         ServableModel {
             layers: layers
                 .into_iter()
-                .map(|(w, b)| ServableLayer { w, b })
+                .map(|(w, b)| ServableLayer {
+                    w: PackedMatrix::new(w).with_precision(precision),
+                    b: b.to_vec(),
+                })
                 .collect(),
-            precision,
         }
     }
 
     /// Set the GEMM storage precision of every layer (builder style).
+    /// `Mixed` rounds each layer's panels to bf16 once, here.
     #[must_use]
-    pub fn with_precision(mut self, p: Precision) -> Self {
-        self.precision = p;
-        self
+    pub fn with_precision(self, p: Precision) -> Self {
+        let layers = self
+            .layers
+            .into_iter()
+            .map(|l| ServableLayer {
+                w: l.w.with_precision(p),
+                ..l
+            })
+            .collect();
+        ServableModel { layers }
     }
 
     /// The GEMM storage precision used by every forward.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.layers
+            .first()
+            .map_or(Precision::F32, |l| l.w.precision())
     }
 
     /// Input feature count.
@@ -133,39 +151,44 @@ impl ServableModel {
     pub fn param_count(&self) -> usize {
         self.layers
             .iter()
-            .map(|l| l.w.as_slice().len() + l.b.len())
+            .map(|l| l.w.rows() * l.w.cols() + l.b.len())
             .sum()
     }
 
     /// Copy all parameters into one flat vector (the
     /// [`Mlp::flat_params`](crate::model::Mlp::flat_params) layout) — what a
-    /// root rank hands to the weight broadcast.
+    /// root rank hands to the weight broadcast. Read back from the f32
+    /// panels, so the values are exactly the ones the replica was built
+    /// from.
     pub fn flat_params(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
         for l in &self.layers {
-            out.extend_from_slice(l.w.as_slice());
+            out.extend(l.w.row_major());
             out.extend_from_slice(&l.b);
         }
         out
     }
 
-    /// Batched forward: logits for a `batch × inputs` matrix, one packed
-    /// GEMM per layer. `&self` — replicas serve concurrently.
+    /// Batched forward: logits for a `batch × inputs` matrix, one GEMM per
+    /// layer against the prepacked weights. `&self` — replicas serve
+    /// concurrently.
     ///
     /// # Panics
     /// Panics if `x.cols() != self.input_dim()`.
     pub fn forward_batch(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
         let depth = self.layers.len();
+        let mut h: Option<Matrix> = None;
         for (i, layer) in self.layers.iter().enumerate() {
-            let mut y = Matrix::zeros(h.rows(), layer.w.cols());
-            dense_forward_into(&h, &layer.w, &layer.b, self.precision, &mut y);
+            let input = h.as_ref().unwrap_or(x);
+            let mut y = Matrix::zeros(input.rows(), layer.w.cols());
+            input.matmul_packed_into(&layer.w, &mut y);
+            ops::add_bias(&mut y, &layer.b);
             if i + 1 < depth {
                 ops::relu_inplace(&mut y);
             }
-            h = y;
+            h = Some(y);
         }
-        h
+        h.expect("a servable model has at least one layer")
     }
 
     /// Sequential single-request forward — the per-request matvec path the

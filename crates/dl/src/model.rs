@@ -31,10 +31,11 @@ impl Linear {
         }
     }
 
-    /// Forward: `y = x·W + b`, caching `x` for backward. Runs the same
-    /// shared routine the forward-only serving path uses
-    /// ([`crate::inference::ServableModel`]), so served activations are
-    /// bitwise the trained ones.
+    /// Forward: `y = x·W + b`, caching `x` for backward. `W` changes every
+    /// step, so it is packed per call; the forward-only serving path
+    /// ([`crate::inference::ServableModel`]) runs the same GEMM driver on
+    /// weights packed once, so served activations are bitwise the trained
+    /// ones.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let mut y = Matrix::zeros(x.rows(), self.w.cols());
         dense_forward_into(x, &self.w, &self.b, self.precision, &mut y);
@@ -324,10 +325,7 @@ impl Mlp {
     /// and what a weight broadcast ships.
     pub fn servable(&self) -> ServableModel {
         ServableModel::from_layers(
-            self.layers
-                .iter()
-                .map(|l| (l.w.clone(), l.b.clone()))
-                .collect(),
+            self.layers.iter().map(|l| (&l.w, l.b.as_slice())),
             self.precision(),
         )
     }

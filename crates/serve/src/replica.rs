@@ -9,7 +9,7 @@
 //! in request order.
 //!
 //! Because every replica is built from the *broadcast* bytes and the
-//! forward is the shared packed-GEMM path, the sharded result is
+//! forward is the same prepacked-GEMM path, the sharded result is
 //! **bit-identical** to a single-replica `forward_batch` over the whole
 //! request list — pinned by this module's tests for 1–4 ranks and both
 //! precisions.

@@ -10,12 +10,14 @@
 //! service(b) = base_s + b · per_row_s
 //! ```
 //!
-//! which is exactly the shape the packed GEMM path produces: `base_s` is
-//! the per-call overhead the micro-batcher amortizes (panel packing,
-//! dispatch, small-matrix inefficiency) and `per_row_s` is the marginal
-//! row cost. The same fit also yields the batched-vs-sequential speedup
-//! the serving plane's headline quotes: sequential throughput is
-//! `1/service(1)`, batched throughput at `b` is `b/service(b)`.
+//! which is exactly the shape the prepacked GEMM path produces: `base_s`
+//! is the per-call overhead the micro-batcher amortizes (dispatch, layer
+//! set-up, and streaming every weight panel once whatever the batch size)
+//! and `per_row_s` is the marginal row cost. The weights are packed once
+//! when the replica is built, so no request pays for packing. The same
+//! fit also yields the batched-vs-sequential speedup the serving plane's
+//! headline quotes: sequential throughput is `1/service(1)`, batched
+//! throughput at `b` is `b/service(b)`.
 
 use summit_dl::inference::ServableModel;
 use summit_tensor::Matrix;
@@ -135,7 +137,7 @@ pub fn calibrate(
         let ids: Vec<u64> = (0..b as u64).collect();
         let x = batch_matrix(&pool, &ids);
         let mut best = f64::INFINITY;
-        // Warmup primes the pool workers and packing scratch.
+        // Warmup primes the pool workers and the caches.
         let _ = model.forward_batch(&x);
         for _ in 0..iters.max(1) {
             let t0 = std::time::Instant::now();

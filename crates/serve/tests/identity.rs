@@ -17,7 +17,7 @@ use summit_tensor::{Matrix, Precision};
 const BATCHES: [usize; 7] = [1, 2, 3, 5, 8, 16, 33];
 
 fn model(precision: Precision) -> ServableModel {
-    let spec = MlpSpec::new(48, &[96, 64], 10);
+    let spec = MlpSpec::new(48, &[300, 64], 10);
     ServableModel::from_spec_params(&spec, &spec.build(1234).flat_params())
         .with_precision(precision)
 }
@@ -46,7 +46,7 @@ fn batched_rows_are_bitwise_single_request_forwards() {
 
 #[test]
 fn servable_forward_is_bitwise_the_trainers_forward() {
-    let spec = MlpSpec::new(32, &[64, 48], 6);
+    let spec = MlpSpec::new(32, &[300, 48], 6);
     let mut mlp = spec.build(77);
     for precision in [Precision::F32, Precision::Mixed] {
         mlp.set_precision(precision);
@@ -66,7 +66,7 @@ fn servable_forward_is_bitwise_the_trainers_forward() {
 fn flat_param_round_trip_preserves_the_forward() {
     // Broadcast delivery path: spec + flat params reconstruct a replica
     // whose forward is bitwise the original's.
-    let spec = MlpSpec::new(24, &[40], 8);
+    let spec = MlpSpec::new(24, &[300], 8);
     let original = spec.build(3).servable();
     let rebuilt = ServableModel::from_spec_params(&spec, &original.flat_params());
     let pool = feature_pool(24, 8, 2);

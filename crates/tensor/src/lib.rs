@@ -7,8 +7,9 @@
 //! persistent [`summit-pool`] compute runtime under the calling thread's
 //! core budget — no per-call thread spawns — and the matmuls pack their
 //! strided operand once per call into reused thread-local scratch, so the
-//! steady state allocates nothing. Pooled results are bitwise identical to
-//! the serial path at every worker count.
+//! steady state allocates nothing; an operand that never changes (frozen
+//! weights) can be packed once instead, as a [`PackedMatrix`]. Pooled
+//! results are bitwise identical to the serial path at every worker count.
 //!
 //! This crate is deliberately small — it is a substrate for the paper
 //! reproduction, not a BLAS. Kernels are written for clarity first and
@@ -30,13 +31,15 @@
 //! assert_eq!(c.get(0, 0), 19.0);
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod init;
 pub mod matrix;
 pub mod ops;
 pub mod simd;
 
 pub use init::Initializer;
-pub use matrix::{Matrix, Precision};
+pub use matrix::{Matrix, PackedMatrix, Precision};
 
 /// Dot product of two equal-length slices.
 ///

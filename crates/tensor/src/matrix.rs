@@ -16,6 +16,11 @@
 //!   an explicit AVX2+FMA microkernel on the [`crate::simd`] `f32x8`
 //!   wrapper (register-blocked 6×16 / 4×16 tiles, runtime-detected), or
 //!   the branch-free 4×-unrolled scalar loop as the guaranteed fallback.
+//! * **Prepacked operands** — a `B` that does not change between calls
+//!   (a served model's frozen weights) is packed once into a
+//!   [`PackedMatrix`], and [`Matrix::matmul_packed_into`] runs the same
+//!   driver and kernels on it with no per-call pack. The product is bitwise
+//!   the per-call-pack product.
 //! * **Mixed precision** — every variant has a bf16-storage twin
 //!   ([`Matrix::matmul_mixed_into`] and friends, or the [`Precision`] knob
 //!   on the `*_into_prec` entry points): the packed operand is stored as
@@ -63,6 +68,115 @@ pub enum Precision {
     F32,
     /// bf16 storage for the packed operand, f32 accumulation.
     Mixed,
+}
+
+/// A `k×n` right-hand `matmul` operand packed once into the column panels
+/// [`Matrix::matmul`] otherwise builds on every call.
+/// [`Matrix::matmul_packed_into`] multiplies by it with the same driver and
+/// kernels, so its product is bitwise [`Matrix::matmul_into_prec`]'s at
+/// [`PackedMatrix::precision`].
+///
+/// The f32 panels are a permutation of the matrix, so they can stand in for
+/// it: [`PackedMatrix::row_major`] reads the original values back. At
+/// [`Precision::Mixed`] the operand also holds their bf16 rounding, which
+/// the product multiplies by instead.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedMatrix {
+    rows: usize,
+    cols: usize,
+    f32_panels: Vec<f32>,
+    bf16_panels: Option<Vec<u16>>,
+}
+
+impl PackedMatrix {
+    /// Pack `b` into f32 panels.
+    pub fn new(b: &Matrix) -> Self {
+        Self::from_row_major(b.rows, b.cols, &b.data)
+    }
+
+    /// Pack a row-major `rows × cols` buffer straight into f32 panels — the
+    /// one copy the packed form costs.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols` or a dimension is zero.
+    pub fn from_row_major(rows: usize, cols: usize, data: &[f32]) -> Self {
+        assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
+        assert_eq!(data.len(), rows * cols, "buffer length mismatch");
+        PackedMatrix {
+            rows,
+            cols,
+            f32_panels: packed_vec(data, rows, cols),
+            bf16_panels: None,
+        }
+    }
+
+    /// The same operand for products at `prec` (builder style). `Mixed`
+    /// rounds the f32 panels to bf16 element by element — both share one
+    /// layout — exactly as packing the matrix per call at `Mixed` would.
+    #[must_use]
+    pub fn with_precision(mut self, prec: Precision) -> Self {
+        self.bf16_panels = (prec == Precision::Mixed).then(|| {
+            self.f32_panels
+                .iter()
+                .map(|&v| simd::f32_to_bf16(v))
+                .collect()
+        });
+        self
+    }
+
+    /// The storage precision products run at.
+    pub fn precision(&self) -> Precision {
+        if self.bf16_panels.is_some() {
+            Precision::Mixed
+        } else {
+            Precision::F32
+        }
+    }
+
+    /// Row count (the shared dimension `k` of a product).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Column count (the output width `n` of a product).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Every element in row-major order, read from the f32 panels: the
+    /// original values at either precision.
+    pub fn row_major(&self) -> impl Iterator<Item = f32> + '_ {
+        (0..self.rows).flat_map(move |r| {
+            (0..self.cols).map(move |c| {
+                let jb = c - c % PANEL_COLS;
+                let jw = (self.cols - jb).min(PANEL_COLS);
+                self.f32_panels[jb * self.rows + r * jw + (c - jb)]
+            })
+        })
+    }
+}
+
+/// Pack row-major `k×n` `src` into `B`'s column panels: panel `jb` holds
+/// columns `[jb, jb + jw)` row-major at width `jw`, contiguous at offset
+/// `jb·k` (every preceding full panel holds `PANEL_COLS·k` elements). The
+/// bf16 element type rounds here, once per element.
+fn pack_panels<E: Element>(src: &[f32], k: usize, n: usize, bp: &mut [E]) {
+    for jb in (0..n).step_by(PANEL_COLS) {
+        let jw = (n - jb).min(PANEL_COLS);
+        let panel = &mut bp[jb * k..jb * k + k * jw];
+        for kk in 0..k {
+            let row = &src[kk * n + jb..kk * n + jb + jw];
+            for (d, &s) in panel[kk * jw..(kk + 1) * jw].iter_mut().zip(row) {
+                *d = E::pack(s);
+            }
+        }
+    }
+}
+
+fn packed_vec<E: Element>(src: &[f32], k: usize, n: usize) -> Vec<E> {
+    let mut bp = vec![E::pack(0.0); k * n];
+    pack_panels(src, k, n, &mut bp);
+    bp
 }
 
 /// Kernel backend selector — test hook for pinning SIMD-vs-scalar
@@ -179,6 +293,7 @@ impl PanelElem for f32 {
         chunk: &mut [f32],
         range: Range<usize>,
     ) {
+        // SAFETY: forwarded contract — the CPU supports AVX2+FMA.
         unsafe { mm_chunk_simd_f32(a, k, bp, n, chunk, range) }
     }
 
@@ -190,6 +305,7 @@ impl PanelElem for f32 {
         chunk: &mut [f32],
         range: Range<usize>,
     ) {
+        // SAFETY: forwarded contract — the CPU supports AVX2+FMA.
         unsafe { atb_chunk_simd_f32(at, m, b, n, chunk, range) }
     }
 
@@ -201,6 +317,7 @@ impl PanelElem for f32 {
         chunk: &mut [f32],
         range: Range<usize>,
     ) {
+        // SAFETY: forwarded contract — the CPU supports AVX2+FMA.
         unsafe { abt_chunk_simd_f32(a, k, b, n, chunk, range) }
     }
 }
@@ -224,6 +341,7 @@ impl PanelElem for u16 {
         chunk: &mut [f32],
         range: Range<usize>,
     ) {
+        // SAFETY: forwarded contract — the CPU supports AVX2+FMA.
         unsafe { mm_chunk_simd_bf16(a, k, bp, n, chunk, range) }
     }
 
@@ -235,6 +353,7 @@ impl PanelElem for u16 {
         chunk: &mut [f32],
         range: Range<usize>,
     ) {
+        // SAFETY: forwarded contract — the CPU supports AVX2+FMA.
         unsafe { atb_chunk_simd_bf16(at, m, b, n, chunk, range) }
     }
 
@@ -246,6 +365,7 @@ impl PanelElem for u16 {
         chunk: &mut [f32],
         range: Range<usize>,
     ) {
+        // SAFETY: forwarded contract — the CPU supports AVX2+FMA.
         unsafe { abt_chunk_simd_bf16(a, k, b, n, chunk, range) }
     }
 }
@@ -436,36 +556,68 @@ impl Matrix {
             (self.rows, other.cols),
             "matmul output shape mismatch"
         );
-        let k = self.cols;
-        let n = other.cols;
-        let use_simd = backend.use_simd();
-        out.data.fill(0.0);
-        // Pack B once per call into column panels: panel `jb` holds columns
-        // [jb, jb + jw) row-major at width jw, contiguous at offset jb·k
-        // (every preceding full panel contributes PANEL_COLS·k elements).
-        // The mixed path rounds to bf16 here, once per element.
+        let (k, n) = (other.rows, other.cols);
         E::with_scratch(k * n, |bp| {
-            for jb in (0..n).step_by(PANEL_COLS) {
-                let jw = (n - jb).min(PANEL_COLS);
-                let panel = &mut bp[jb * k..jb * k + k * jw];
-                for kk in 0..k {
-                    let src = &other.data[kk * n + jb..kk * n + jb + jw];
-                    for (d, &s) in panel[kk * jw..(kk + 1) * jw].iter_mut().zip(src) {
-                        *d = E::pack(s);
-                    }
-                }
+            pack_panels(&other.data, k, n, bp);
+            self.matmul_panels(bp, n, out, parts, backend);
+        });
+    }
+
+    /// `self · B` for a `B` packed ahead of time: bitwise
+    /// [`Matrix::matmul_into_prec`] at the packed precision, without the
+    /// per-call pack. Allocation-free.
+    ///
+    /// # Panics
+    /// Panics on inner-dimension mismatch or if `out` is not `m×n`.
+    pub fn matmul_packed_into(&self, packed: &PackedMatrix, out: &mut Matrix) {
+        self.matmul_packed_into_parts_backend(packed, out, auto_parts(self.rows), Backend::Auto);
+    }
+
+    /// [`Matrix::matmul_packed_into`] with explicit parts and a forced
+    /// backend (tests).
+    #[doc(hidden)]
+    pub fn matmul_packed_into_parts_backend(
+        &self,
+        packed: &PackedMatrix,
+        out: &mut Matrix,
+        parts: usize,
+        backend: Backend,
+    ) {
+        assert_eq!(self.cols, packed.rows, "matmul inner dimension mismatch");
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.rows, packed.cols),
+            "matmul output shape mismatch"
+        );
+        match &packed.bf16_panels {
+            Some(bp) => self.matmul_panels(bp, packed.cols, out, parts, backend),
+            None => self.matmul_panels(&packed.f32_panels, packed.cols, out, parts, backend),
+        }
+    }
+
+    /// The one `matmul` driver behind the per-call and the prepacked
+    /// products: chunk the output rows over the pool and run the SIMD or
+    /// scalar kernel against `B`'s packed panels `bp`.
+    fn matmul_panels<E: PanelElem>(
+        &self,
+        bp: &[E],
+        n: usize,
+        out: &mut Matrix,
+        parts: usize,
+        backend: Backend,
+    ) {
+        let k = self.cols;
+        let use_simd = backend.use_simd();
+        let a = &self.data;
+        out.data.fill(0.0);
+        summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
+            if use_simd {
+                // SAFETY: `use_simd` implies `simd::active()` verified
+                // AVX2+FMA on this CPU.
+                unsafe { E::mm_chunk_simd(a, k, bp, n, chunk, range) }
+            } else {
+                matmul_chunk(a, k, bp, n, chunk, range);
             }
-            let a = &self.data;
-            let bp = &*bp;
-            summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
-                if use_simd {
-                    // SAFETY: `use_simd` implies `simd::active()` verified
-                    // AVX2+FMA on this CPU.
-                    unsafe { E::mm_chunk_simd(a, k, bp, n, chunk, range) }
-                } else {
-                    matmul_chunk(a, k, bp, n, chunk, range);
-                }
-            });
         });
     }
 
@@ -916,17 +1068,65 @@ fn matmul_a_bt_chunk<E: Element>(
 // across-pool-sizes argument.
 // ---------------------------------------------------------------------------
 
-/// `matmul` row block: `RB` rows × 16/8/1 columns, accumulating the full
-/// shared dimension in registers before one store. Per output element the
-/// chain is `acc = fma(a[i,kk], b[kk,j], acc)` in ascending `kk` — the same
-/// chain whether the row sits in a 6-row tile or the 1-row remainder, so
-/// chunk splits can't change bits.
+/// One `matmul` register tile: `RB` rows × `8·NV` columns at panel column
+/// `j`, accumulating the full shared dimension in `RB·NV` registers before
+/// one store. Per output element the chain is
+/// `acc = fma(a[i,kk], b[kk,j], acc)` over ascending `kk` from zero — the
+/// same chain in every tile shape, so neither the tile a row lands in nor
+/// the chunk split can change a bit.
 ///
 /// # Safety
 /// Requires AVX2+FMA context; all indices in bounds (caller-maintained).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn mm_rows_simd<E: Element, const RB: usize>(
+unsafe fn mm_tile<E: Element, const RB: usize, const NV: usize>(
+    ap: *const f32,
+    k: usize,
+    panel: *const E,
+    jw: usize,
+    cp: *mut f32,
+    n: usize,
+    jb: usize,
+    a_row0: usize,
+    c_row0: usize,
+    j: usize,
+) {
+    // SAFETY: the caller is in an AVX2+FMA context and keeps rows
+    // `a_row0..a_row0 + RB` of `a`, panel columns `j..j + 8·NV` and output
+    // rows `c_row0..c_row0 + RB` in bounds.
+    unsafe {
+        let mut acc = [[F32x8::zero(); NV]; RB];
+        let mut b = [F32x8::zero(); NV];
+        for kk in 0..k {
+            let bk = panel.add(kk * jw + j);
+            for (v, bv) in b.iter_mut().enumerate() {
+                *bv = E::load8(bk.add(8 * v));
+            }
+            for (t, av) in acc.iter_mut().enumerate() {
+                let a = F32x8::splat(*ap.add((a_row0 + t) * k + kk));
+                for (o, &bv) in av.iter_mut().zip(&b) {
+                    *o = a.mul_add(bv, *o);
+                }
+            }
+        }
+        for (t, av) in acc.iter().enumerate() {
+            let o = cp.add((c_row0 + t) * n + jb + j);
+            for (v, a) in av.iter().enumerate() {
+                a.store(o.add(8 * v));
+            }
+        }
+    }
+}
+
+/// `matmul` row block: `RB` rows across one panel in `8·NV`-column tiles,
+/// then 16-, 8- and 1-column tails. The scalar tail is the same fused chain
+/// one lane at a time.
+///
+/// # Safety
+/// Requires AVX2+FMA context; all indices in bounds (caller-maintained).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn mm_rows_simd<E: Element, const RB: usize, const NV: usize>(
     ap: *const f32,
     k: usize,
     panel: *const E,
@@ -937,39 +1137,21 @@ unsafe fn mm_rows_simd<E: Element, const RB: usize>(
     a_row0: usize,
     c_row0: usize,
 ) {
+    // SAFETY: the caller is in an AVX2+FMA context with rows
+    // `a_row0..a_row0 + RB` in bounds; every tile and tail below stays
+    // within the panel's `jw` columns.
     unsafe {
         let mut j = 0;
+        while j + 8 * NV <= jw {
+            mm_tile::<E, RB, NV>(ap, k, panel, jw, cp, n, jb, a_row0, c_row0, j);
+            j += 8 * NV;
+        }
         while j + 16 <= jw {
-            let mut acc = [[F32x8::zero(); 2]; RB];
-            for kk in 0..k {
-                let bk = panel.add(kk * jw + j);
-                let b0 = E::load8(bk);
-                let b1 = E::load8(bk.add(8));
-                for (t, av) in acc.iter_mut().enumerate() {
-                    let a = F32x8::splat(*ap.add((a_row0 + t) * k + kk));
-                    av[0] = a.mul_add(b0, av[0]);
-                    av[1] = a.mul_add(b1, av[1]);
-                }
-            }
-            for (t, av) in acc.iter().enumerate() {
-                let o = cp.add((c_row0 + t) * n + jb + j);
-                av[0].store(o);
-                av[1].store(o.add(8));
-            }
+            mm_tile::<E, RB, 2>(ap, k, panel, jw, cp, n, jb, a_row0, c_row0, j);
             j += 16;
         }
-        while j + 8 <= jw {
-            let mut acc = [F32x8::zero(); RB];
-            for kk in 0..k {
-                let b0 = E::load8(panel.add(kk * jw + j));
-                for (t, av) in acc.iter_mut().enumerate() {
-                    let a = F32x8::splat(*ap.add((a_row0 + t) * k + kk));
-                    *av = a.mul_add(b0, *av);
-                }
-            }
-            for (t, av) in acc.iter().enumerate() {
-                av.store(cp.add((c_row0 + t) * n + jb + j));
-            }
+        if j + 8 <= jw {
+            mm_tile::<E, RB, 1>(ap, k, panel, jw, cp, n, jb, a_row0, c_row0, j);
             j += 8;
         }
         while j < jw {
@@ -987,7 +1169,10 @@ unsafe fn mm_rows_simd<E: Element, const RB: usize>(
 }
 
 /// `matmul` SIMD chunk kernel: same panel walk as the scalar kernel, rows
-/// in [`MM_MR`]-high register tiles with a 1-row remainder path.
+/// in [`MM_MR`]×16 register tiles. The 1–5 rows left over run as one block
+/// whose tile is widened to 8–12 accumulators (1×64, 2×32, 3×32, 4×16,
+/// 5×16): enough independent FMA chains to hide their latency, and every
+/// panel load is shared by all of the block's rows.
 #[inline(always)]
 unsafe fn mm_chunk_simd_impl<E: Element>(
     a: &[f32],
@@ -1004,14 +1189,22 @@ unsafe fn mm_chunk_simd_impl<E: Element>(
         let jw = (n - jb).min(PANEL_COLS);
         let panel = bp[jb * k..jb * k + k * jw].as_ptr();
         let mut r = 0;
+        // SAFETY: the caller is in an AVX2+FMA context; `range` indexes
+        // rows of `a` and `chunk` holds its `rows × n` outputs, so every
+        // block below stays in bounds.
         unsafe {
             while r + MM_MR <= rows {
-                mm_rows_simd::<E, MM_MR>(ap, k, panel, jw, cp, n, jb, range.start + r, r);
+                mm_rows_simd::<E, MM_MR, 2>(ap, k, panel, jw, cp, n, jb, range.start + r, r);
                 r += MM_MR;
             }
-            while r < rows {
-                mm_rows_simd::<E, 1>(ap, k, panel, jw, cp, n, jb, range.start + r, r);
-                r += 1;
+            let (a0, c0) = (range.start + r, r);
+            match rows - r {
+                0 => {}
+                1 => mm_rows_simd::<E, 1, 8>(ap, k, panel, jw, cp, n, jb, a0, c0),
+                2 => mm_rows_simd::<E, 2, 4>(ap, k, panel, jw, cp, n, jb, a0, c0),
+                3 => mm_rows_simd::<E, 3, 4>(ap, k, panel, jw, cp, n, jb, a0, c0),
+                4 => mm_rows_simd::<E, 4, 2>(ap, k, panel, jw, cp, n, jb, a0, c0),
+                _ => mm_rows_simd::<E, 5, 2>(ap, k, panel, jw, cp, n, jb, a0, c0),
             }
         }
     }
@@ -1038,6 +1231,9 @@ unsafe fn atb_rows_simd<E: Element, const RB: usize>(
     at_row0: usize,
     c_row0: usize,
 ) {
+    // SAFETY: the caller is in an AVX2+FMA context and keeps `Aᵀ` rows
+    // `at_row0..at_row0 + RB`, shared rows `ib..iend` of `b` and output rows
+    // `c_row0..c_row0 + RB` in bounds; every column access is `< n`.
     unsafe {
         let mut j = 0;
         while j + 16 <= n {
@@ -1105,6 +1301,9 @@ unsafe fn atb_chunk_simd_impl<E: Element>(
     for ib in (0..m).step_by(BLOCK_ROWS) {
         let iend = (ib + BLOCK_ROWS).min(m);
         let mut r = 0;
+        // SAFETY: the caller is in an AVX2+FMA context; `range` indexes
+        // rows of `Aᵀ` and `chunk` holds its `rows × n` outputs, so every
+        // block below stays in bounds.
         unsafe {
             while r + ATB_MR <= rows {
                 atb_rows_simd::<E, ATB_MR>(atp, m, bp, n, cp, ib, iend, range.start + r, r);
@@ -1154,6 +1353,8 @@ macro_rules! simd_entry {
         /// The executing CPU must support AVX2+FMA.
         #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
         unsafe fn $name($($arg: $ty),*) {
+            // SAFETY: this fn enables AVX2+FMA and the caller guarantees
+            // the CPU has them.
             unsafe { $impl_fn::<$e>($($arg),*) }
         }
     };
@@ -1359,6 +1560,29 @@ mod tests {
                 (f - g).abs() <= f.abs() * (1.0 / 128.0) + 0.05,
                 "{f} vs {g}"
             );
+        }
+    }
+
+    #[test]
+    fn packed_operand_reads_back_and_multiplies_bitwise() {
+        // 300 columns: one full 256-column panel plus a 44-column one.
+        let (m, k, n) = (3, 5, 300);
+        let a = Matrix::from_vec(
+            m,
+            k,
+            (0..m * k).map(|i| (i % 7) as f32 * 0.3 - 1.0).collect(),
+        );
+        let b = Matrix::from_vec(k, n, (0..k * n).map(|i| (i as f32 * 0.37).sin()).collect());
+        for prec in [Precision::F32, Precision::Mixed] {
+            let p = PackedMatrix::new(&b).with_precision(prec);
+            assert_eq!(p.precision(), prec);
+            assert_eq!((p.rows(), p.cols()), (k, n));
+            assert_eq!(p.row_major().collect::<Vec<_>>(), b.as_slice());
+            let mut want = Matrix::zeros(m, n);
+            let mut got = Matrix::from_vec(m, n, vec![9.0; m * n]);
+            a.matmul_into_prec(&b, &mut want, prec);
+            a.matmul_packed_into(&p, &mut got);
+            assert_eq!(got, want, "{prec:?}");
         }
     }
 

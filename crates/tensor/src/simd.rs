@@ -71,20 +71,24 @@ pub struct F32x8([f32; 8]);
 
 // The safety contract for every method is the type-level one above
 // (AVX2+FMA verified via `active()`, called inside a `target_feature`
-// context); per-method `# Safety` sections would repeat it verbatim.
+// context); per-method `# Safety` sections would repeat it verbatim. Each
+// intrinsic call below relies on exactly that contract, plus the pointer
+// validity its method documents.
 #[allow(clippy::missing_safety_doc)]
 #[cfg(target_arch = "x86_64")]
 impl F32x8 {
     /// All lanes zero.
     #[inline(always)]
     pub unsafe fn zero() -> Self {
-        F32x8(_mm256_setzero_ps())
+        // SAFETY: AVX is available (type-level contract).
+        F32x8(unsafe { _mm256_setzero_ps() })
     }
 
     /// All lanes `v`.
     #[inline(always)]
     pub unsafe fn splat(v: f32) -> Self {
-        F32x8(_mm256_set1_ps(v))
+        // SAFETY: AVX is available (type-level contract).
+        F32x8(unsafe { _mm256_set1_ps(v) })
     }
 
     /// Unaligned load of eight lanes from `p`.
@@ -93,7 +97,9 @@ impl F32x8 {
     /// `p` must be valid for eight `f32` reads.
     #[inline(always)]
     pub unsafe fn load(p: *const f32) -> Self {
-        F32x8(_mm256_loadu_ps(p))
+        // SAFETY: AVX is available and the caller guarantees `p` is valid
+        // for eight `f32` reads; `loadu` needs no alignment.
+        F32x8(unsafe { _mm256_loadu_ps(p) })
     }
 
     /// Widening load of eight bf16 values: each `u16` becomes the high half
@@ -103,9 +109,14 @@ impl F32x8 {
     /// `p` must be valid for eight `u16` reads.
     #[inline(always)]
     pub unsafe fn load_bf16(p: *const u16) -> Self {
-        let half = _mm_loadu_si128(p.cast());
-        let wide = _mm256_cvtepu16_epi32(half);
-        F32x8(_mm256_castsi256_ps(_mm256_slli_epi32(wide, 16)))
+        // SAFETY: AVX2 is available and the caller guarantees `p` is valid
+        // for eight `u16` reads (16 bytes, the width `loadu_si128` reads,
+        // with no alignment requirement).
+        unsafe {
+            let half = _mm_loadu_si128(p.cast());
+            let wide = _mm256_cvtepu16_epi32(half);
+            F32x8(_mm256_castsi256_ps(_mm256_slli_epi32(wide, 16)))
+        }
     }
 
     /// Unaligned store of eight lanes to `p`.
@@ -114,32 +125,38 @@ impl F32x8 {
     /// `p` must be valid for eight `f32` writes.
     #[inline(always)]
     pub unsafe fn store(self, p: *mut f32) {
-        _mm256_storeu_ps(p, self.0)
+        // SAFETY: AVX is available and the caller guarantees `p` is valid
+        // for eight `f32` writes; `storeu` needs no alignment.
+        unsafe { _mm256_storeu_ps(p, self.0) }
     }
 
     /// Fused `self * m + a`, one rounding per lane.
     #[inline(always)]
     pub unsafe fn mul_add(self, m: Self, a: Self) -> Self {
-        F32x8(_mm256_fmadd_ps(self.0, m.0, a.0))
+        // SAFETY: FMA is available (type-level contract).
+        F32x8(unsafe { _mm256_fmadd_ps(self.0, m.0, a.0) })
     }
 
     /// Lane-wise sum.
     #[inline(always)]
     pub unsafe fn add(self, o: Self) -> Self {
-        F32x8(_mm256_add_ps(self.0, o.0))
+        // SAFETY: AVX is available (type-level contract).
+        F32x8(unsafe { _mm256_add_ps(self.0, o.0) })
     }
 
     /// Lane-wise product.
     #[inline(always)]
     pub unsafe fn mul(self, o: Self) -> Self {
-        F32x8(_mm256_mul_ps(self.0, o.0))
+        // SAFETY: AVX is available (type-level contract).
+        F32x8(unsafe { _mm256_mul_ps(self.0, o.0) })
     }
 
     /// Lane-wise maximum (returns the second operand on NaN, matching
     /// `f32::max`'s non-NaN result for a NaN input against a number).
     #[inline(always)]
     pub unsafe fn max(self, o: Self) -> Self {
-        F32x8(_mm256_max_ps(o.0, self.0))
+        // SAFETY: AVX is available (type-level contract).
+        F32x8(unsafe { _mm256_max_ps(o.0, self.0) })
     }
 
     /// Horizontal sum with a fixed pairwise tree:
@@ -147,12 +164,16 @@ impl F32x8 {
     /// determinism contract for reductions.
     #[inline(always)]
     pub unsafe fn hsum(self) -> f32 {
-        let lo = _mm256_castps256_ps128(self.0);
-        let hi = _mm256_extractf128_ps(self.0, 1);
-        let q = _mm_add_ps(lo, hi); // (l0+l4, l1+l5, l2+l6, l3+l7)
-        let d = _mm_add_ps(q, _mm_movehl_ps(q, q)); // (q0+q2, q1+q3, ..)
-        let s = _mm_add_ss(d, _mm_shuffle_ps(d, d, 0b01));
-        _mm_cvtss_f32(s)
+        // SAFETY: AVX is available (type-level contract); register-only
+        // shuffles and adds.
+        unsafe {
+            let lo = _mm256_castps256_ps128(self.0);
+            let hi = _mm256_extractf128_ps(self.0, 1);
+            let q = _mm_add_ps(lo, hi); // (l0+l4, l1+l5, l2+l6, l3+l7)
+            let d = _mm_add_ps(q, _mm_movehl_ps(q, q)); // (q0+q2, q1+q3, ..)
+            let s = _mm_add_ss(d, _mm_shuffle_ps(d, d, 0b01));
+            _mm_cvtss_f32(s)
+        }
     }
 }
 
@@ -177,6 +198,7 @@ impl F32x8 {
     pub unsafe fn load(p: *const f32) -> Self {
         let mut out = [0.0; 8];
         for (i, o) in out.iter_mut().enumerate() {
+            // SAFETY: the caller guarantees `p` is valid for eight reads.
             *o = unsafe { *p.add(i) };
         }
         F32x8(out)
@@ -188,6 +210,7 @@ impl F32x8 {
     pub unsafe fn load_bf16(p: *const u16) -> Self {
         let mut out = [0.0; 8];
         for (i, o) in out.iter_mut().enumerate() {
+            // SAFETY: the caller guarantees `p` is valid for eight reads.
             *o = bf16_to_f32(unsafe { *p.add(i) });
         }
         F32x8(out)
@@ -198,6 +221,7 @@ impl F32x8 {
     #[inline(always)]
     pub unsafe fn store(self, p: *mut f32) {
         for (i, v) in self.0.iter().enumerate() {
+            // SAFETY: the caller guarantees `p` is valid for eight writes.
             unsafe { *p.add(i) = *v };
         }
     }
@@ -299,6 +323,7 @@ impl Element for f32 {
 
     #[inline(always)]
     unsafe fn load8(p: *const Self) -> F32x8 {
+        // SAFETY: forwarded contract — `p` is valid for eight `f32` reads.
         unsafe { F32x8::load(p) }
     }
 }
@@ -316,6 +341,7 @@ impl Element for u16 {
 
     #[inline(always)]
     unsafe fn load8(p: *const Self) -> F32x8 {
+        // SAFETY: forwarded contract — `p` is valid for eight `u16` reads.
         unsafe { F32x8::load_bf16(p) }
     }
 }
@@ -337,12 +363,15 @@ pub unsafe fn dot_lanes<E: Element>(a: &[f32], b: &[E]) -> f32 {
     let n = a.len();
     let ap = a.as_ptr();
     let bp = b.as_ptr();
-    let mut acc0 = unsafe { F32x8::zero() };
-    let mut acc1 = unsafe { F32x8::zero() };
-    let mut acc2 = unsafe { F32x8::zero() };
-    let mut acc3 = unsafe { F32x8::zero() };
     let mut i = 0;
+    // SAFETY: the caller is in an AVX2+FMA context, and each load reads
+    // `a[i..i + 8]` / `b[i..i + 8]` or element `i` with `i` (+ 8) `<= n`,
+    // the shared length.
     unsafe {
+        let mut acc0 = F32x8::zero();
+        let mut acc1 = F32x8::zero();
+        let mut acc2 = F32x8::zero();
+        let mut acc3 = F32x8::zero();
         while i + 4 * LANES <= n {
             acc0 = F32x8::load(ap.add(i)).mul_add(E::load8(bp.add(i)), acc0);
             acc1 = F32x8::load(ap.add(i + 8)).mul_add(E::load8(bp.add(i + 8)), acc1);
@@ -370,6 +399,8 @@ pub unsafe fn dot_lanes<E: Element>(a: &[f32], b: &[E]) -> f32 {
 /// The executing CPU must support AVX2+FMA (guaranteed by [`active`]).
 #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
 pub unsafe fn dot_dispatch(a: &[f32], b: &[f32]) -> f32 {
+    // SAFETY: this fn enables AVX2+FMA and the caller guarantees the CPU
+    // has them.
     unsafe { dot_lanes::<f32>(a, b) }
 }
 
@@ -384,6 +415,8 @@ pub unsafe fn axpy_dispatch(alpha: f32, x: &[f32], y: &mut [f32]) {
     let n = x.len();
     let xp = x.as_ptr();
     let yp = y.as_mut_ptr();
+    // SAFETY: AVX2+FMA enabled here and present (caller contract); every
+    // access is at an index `< n` of `x` and `y`, which have equal lengths.
     unsafe {
         let av = F32x8::splat(alpha);
         let mut i = 0;
@@ -408,6 +441,8 @@ pub unsafe fn axpy_dispatch(alpha: f32, x: &[f32], y: &mut [f32]) {
 pub unsafe fn scale_dispatch(a: &mut [f32], s: f32) {
     let n = a.len();
     let ap = a.as_mut_ptr();
+    // SAFETY: AVX2+FMA enabled here and present (caller contract); every
+    // access is at an index `< n` of `a`.
     unsafe {
         let sv = F32x8::splat(s);
         let mut i = 0;
@@ -431,6 +466,8 @@ pub unsafe fn scale_dispatch(a: &mut [f32], s: f32) {
 pub unsafe fn relu_dispatch(a: &mut [f32]) {
     let n = a.len();
     let ap = a.as_mut_ptr();
+    // SAFETY: AVX2+FMA enabled here and present (caller contract); every
+    // access is at an index `< n` of `a`.
     unsafe {
         let z = F32x8::zero();
         let mut i = 0;
@@ -456,6 +493,9 @@ pub unsafe fn add_bias_dispatch(chunk: &mut [f32], bias: &[f32]) {
     let bp = bias.as_ptr();
     for row in chunk.chunks_exact_mut(cols) {
         let rp = row.as_mut_ptr();
+        // SAFETY: AVX2+FMA enabled here and present (caller contract);
+        // `row` and `bias` both hold `cols` elements and every access is at
+        // an index `< cols`.
         unsafe {
             let mut i = 0;
             while i + LANES <= cols {
@@ -541,6 +581,7 @@ mod tests {
             let a: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
             let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos()).collect();
             let scalar: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
+            // SAFETY: `active()` verified AVX2+FMA on this CPU.
             let simd = unsafe { dot_dispatch(&a, &b) };
             let bound = (n as f32) * f32::EPSILON + 1e-6;
             assert!(

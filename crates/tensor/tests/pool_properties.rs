@@ -42,7 +42,7 @@ proptest! {
     fn prop_pooled_matmul_bit_identical_to_serial(
         m in 1usize..200,
         k in 1usize..40,
-        n in 1usize..64,
+        n in 1usize..300,
         parts in 1usize..9,
         seed in 0u64..1000,
     ) {

@@ -3,10 +3,12 @@
 //! 1. **ULP agreement** — the auto backend (SIMD where detected) agrees
 //!    with the forced scalar reference within the documented bound on
 //!    random shapes, including every remainder path (cols % 16, % 8 ≠ 0,
-//!    rows below the register-tile height).
+//!    rows below the register-tile height, the 64-column small-batch tile
+//!    and the 256-column panel boundary).
 //! 2. **Bit-identity across pool sizes 1→8** — for both precisions and
 //!    both backends, the chunked result equals the `parts = 1` result
-//!    bitwise at every worker count.
+//!    bitwise at every worker count, and the prepacked product
+//!    ([`PackedMatrix`]) equals the per-call-pack product bitwise.
 //! 3. **BLAS-1 dispatch agreement** — `dot`/`axpy`/`scale`/`l2_norm` and
 //!    the elementwise kernels match their scalar definitions within the
 //!    same bound (`scale`, `relu`, `add_bias` exactly).
@@ -21,7 +23,7 @@
 
 use proptest::prelude::*;
 use summit_tensor::matrix::Backend;
-use summit_tensor::{Matrix, Precision};
+use summit_tensor::{Matrix, PackedMatrix, Precision};
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     let data = (0..rows * cols)
@@ -46,7 +48,8 @@ fn assert_close(auto: &Matrix, scalar: &Matrix, k: usize, what: &str) {
     }
 }
 
-/// Run one variant with full control.
+/// Run one variant with full control. Variant 3 is `matmul` against a
+/// [`PackedMatrix`] packed at `prec`.
 fn run(
     a: &Matrix,
     b: &Matrix,
@@ -59,16 +62,20 @@ fn run(
     match variant {
         0 => a.matmul_into_parts_backend(b, out, parts, prec, backend),
         1 => a.matmul_at_b_into_parts_backend(b, out, parts, prec, backend),
-        _ => a.matmul_a_bt_into_parts_backend(b, out, parts, prec, backend),
+        2 => a.matmul_a_bt_into_parts_backend(b, out, parts, prec, backend),
+        _ => {
+            let packed = PackedMatrix::new(b).with_precision(prec);
+            a.matmul_packed_into_parts_backend(&packed, out, parts, backend)
+        }
     }
 }
 
 /// Output shape of a variant.
 fn out_shape(a: &Matrix, b: &Matrix, variant: usize) -> (usize, usize) {
     match variant {
-        0 => (a.rows(), b.cols()),
         1 => (a.cols(), b.cols()),
-        _ => (a.rows(), b.rows()),
+        2 => (a.rows(), b.rows()),
+        _ => (a.rows(), b.cols()),
     }
 }
 
@@ -78,12 +85,13 @@ proptest! {
     /// Auto (SIMD where detected) vs forced scalar, all three variants,
     /// f32: within the ULP bound on shapes that hit every remainder lane
     /// (cols % 8 ≠ 0 included by the range, rows < the 6/4-row tiles
-    /// included by the minimum).
+    /// included by the minimum, columns past the 64-wide small-batch tile
+    /// and the 256-column panel).
     #[test]
     fn simd_agrees_with_scalar_within_ulp_bound(
         m in 1usize..40,
         k in 1usize..70,
-        n in 1usize..40,
+        n in 1usize..300,
         variant in 0usize..3,
         seed in 0u64..1000,
     ) {
@@ -128,26 +136,28 @@ proptest! {
 
     /// Bit-identity across pool sizes 1→8 for every (variant, precision,
     /// backend) combination: the chunk split must never change a single
-    /// bit of any output element.
+    /// bit of any output element. The prepacked product (variant 3) is
+    /// held to the per-call-pack serial product at every pool size.
     #[test]
     fn bit_identical_across_pool_sizes_1_to_8(
         m in 1usize..48,
         k in 1usize..40,
-        n in 1usize..48,
-        variant in 0usize..3,
+        n in 1usize..300,
+        variant in 0usize..4,
         seed in 0u64..1000,
     ) {
         let (a, b) = match variant {
-            0 => (mat(m, k, seed), mat(k, n, seed + 1)),
             1 => (mat(m, k, seed), mat(m, n, seed + 1)),
-            _ => (mat(m, k, seed), mat(n, k, seed + 1)),
+            2 => (mat(m, k, seed), mat(n, k, seed + 1)),
+            _ => (mat(m, k, seed), mat(k, n, seed + 1)),
         };
         let (or, oc) = out_shape(&a, &b, variant);
+        let reference = if variant == 3 { 0 } else { variant };
         for prec in [Precision::F32, Precision::Mixed] {
             for backend in [Backend::Auto, Backend::Scalar] {
                 let mut serial = Matrix::zeros(or, oc);
-                run(&a, &b, &mut serial, variant, 1, prec, backend);
-                for parts in 2..=8 {
+                run(&a, &b, &mut serial, reference, 1, prec, backend);
+                for parts in 1..=8 {
                     let mut pooled = Matrix::zeros(or, oc);
                     run(&a, &b, &mut pooled, variant, parts, prec, backend);
                     prop_assert_eq!(
